@@ -296,11 +296,13 @@ type updateResult struct {
 }
 
 type queryOp struct {
-	done chan queryResult
+	done    chan queryResult
+	encoded bool // answer with the learned state's encoding as well
 }
 
 type queryResult struct {
 	state crdt.State
+	raw   []byte // crdt.Marshal(state), when the op asked for it
 	stats core.QueryStats
 	err   error
 }
@@ -643,17 +645,32 @@ func (n *Node) Query(ctx context.Context) (crdt.State, core.QueryStats, error) {
 // blocks until a linearizable state is learned or ctx is done. The returned
 // state must be treated as immutable.
 func (n *Node) QueryKey(ctx context.Context, key string) (crdt.State, core.QueryStats, error) {
-	op := &queryOp{done: make(chan queryResult, 1)}
+	res := n.query(ctx, key, false)
+	return res.state, res.stats, res.err
+}
+
+// QueryKeyEncoded is QueryKey answering with the learned state's canonical
+// encoding (crdt.Marshal) in place of the state. The bytes come from the
+// key replica's encoding memo: on a converged key they are the very bytes
+// it ships to its peers, so a caller relaying the state encodes nothing
+// per request. They are shared and must not be modified.
+func (n *Node) QueryKeyEncoded(ctx context.Context, key string) ([]byte, core.QueryStats, error) {
+	res := n.query(ctx, key, true)
+	return res.raw, res.stats, res.err
+}
+
+func (n *Node) query(ctx context.Context, key string, encoded bool) queryResult {
+	op := &queryOp{done: make(chan queryResult, 1), encoded: encoded}
 	if err := n.shardOf(key).submit(ctx, nodeEvent{kind: evQuery, key: key, query: op}); err != nil {
-		return nil, core.QueryStats{}, err
+		return queryResult{err: err}
 	}
 	select {
 	case res := <-op.done:
-		return res.state, res.stats, res.err
+		return res
 	case <-ctx.Done():
-		return nil, core.QueryStats{}, ctx.Err()
+		return queryResult{err: ctx.Err()}
 	case <-n.quit:
-		return nil, core.QueryStats{}, ErrStopped
+		return queryResult{err: ErrStopped}
 	}
 }
 

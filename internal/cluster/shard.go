@@ -323,15 +323,37 @@ func (s *shard) startQuery(key string, ops []*queryOp) {
 		return
 	}
 	reqID := rep.SubmitQuery(func(st crdt.State, stats core.QueryStats, err error) {
+		// Encode here, on the loop that owns the replica's memo.
+		var raw []byte
+		var encErr error
+		if err == nil && wantsEncoding(ops) {
+			raw, encErr = rep.Encode(st)
+		}
 		s.notify = append(s.notify, keyedNotify{key: key, fn: func() {
 			for _, op := range ops {
-				op.done <- queryResult{state: st, stats: stats, err: err}
+				res := queryResult{state: st, stats: stats, err: err}
+				if op.encoded {
+					res.raw = raw
+					if res.err == nil {
+						res.err = encErr
+					}
+				}
+				op.done <- res
 			}
 		}})
 	})
 	if rep.Pending(reqID) {
 		s.armTimer(key, reqID)
 	}
+}
+
+func wantsEncoding(ops []*queryOp) bool {
+	for _, op := range ops {
+		if op.encoded {
+			return true
+		}
+	}
+	return false
 }
 
 // reconfigAgg aggregates one shard's per-key reconfiguration outcomes.

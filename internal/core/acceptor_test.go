@@ -256,11 +256,11 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 				Round:   Round{Number: 42, ID: RoundID{Proposer: "px", Seq: 9}},
 				State:   s,
 			}
-			raw, err := in.encode()
+			raw, err := in.encode(nil)
 			if err != nil {
 				t.Fatalf("%v: %v", typ, err)
 			}
-			out, err := decodeMessage(raw)
+			out, err := decodeMessage(raw, nil, nil)
 			if err != nil {
 				t.Fatalf("%v: %v", typ, err)
 			}
@@ -281,26 +281,26 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 }
 
 func TestMessageDecodeRejectsGarbage(t *testing.T) {
-	if _, err := decodeMessage(nil); err == nil {
+	if _, err := decodeMessage(nil, nil, nil); err == nil {
 		t.Fatal("nil decoded")
 	}
-	if _, err := decodeMessage([]byte{0}); err == nil {
+	if _, err := decodeMessage([]byte{0}, nil, nil); err == nil {
 		t.Fatal("zero type decoded")
 	}
-	if _, err := decodeMessage([]byte{99, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := decodeMessage([]byte{99, 0, 0, 0, 0, 0, 0}, nil, nil); err == nil {
 		t.Fatal("unknown type decoded")
 	}
 	m := &message{Type: msgAck, Round: Round{Number: 1, ID: RoundID{Proposer: "p", Seq: 1}}, State: crdt.NewGCounter()}
-	raw, err := m.encode()
+	raw, err := m.encode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < len(raw); cut++ {
-		if _, err := decodeMessage(raw[:cut]); err == nil {
+		if _, err := decodeMessage(raw[:cut], nil, nil); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
 	}
-	if _, err := decodeMessage(append(raw, 0xAB)); err == nil {
+	if _, err := decodeMessage(append(raw, 0xAB), nil, nil); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -309,11 +309,11 @@ func TestQuickRoundCodec(t *testing.T) {
 	f := func(num int64, prop string, seq uint64) bool {
 		in := Round{Number: num, ID: RoundID{Proposer: transport.NodeID(prop), Seq: seq}}
 		m := &message{Type: msgMerged, Round: in}
-		raw, err := m.encode()
+		raw, err := m.encode(nil)
 		if err != nil {
 			return false
 		}
-		out, err := decodeMessage(raw)
+		out, err := decodeMessage(raw, nil, nil)
 		return err == nil && out.Round == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

@@ -29,7 +29,7 @@ func TestMessageOverheadConstant(t *testing.T) {
 			Round:   Round{Number: 1 << 30, ID: RoundID{Proposer: "some-proposer", Seq: 1 << 20}},
 			State:   c,
 		}
-		raw, err := m.encode()
+		raw, err := m.encode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

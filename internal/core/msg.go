@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"crdtsmr/internal/crdt"
@@ -149,7 +150,78 @@ type message struct {
 // hasConfig reports whether the message type carries a config frame.
 func hasConfig(t msgType) bool { return t == msgReconfig || t == msgEpochNack }
 
-// encode serializes the message. Layout:
+// encMemo memoizes the canonical encoding (crdt.Marshal) of the state a
+// replica encoded last, keyed by state identity. States are immutable:
+// every change makes a new value, and a merge that adds nothing returns
+// its receiver (crdt.State). So the same value always has the same bytes,
+// and on a converged key the acceptor payload stays one value across
+// reads. One encoding then serves every peer of a broadcast, every later
+// read, the state digest (SHA-256 of the same bytes) and the client
+// reply. The memo holds a single encoding, so it costs at most one
+// payload's bytes per replica, and it changes no byte on the wire.
+//
+// The identity comparison requires payload types to be comparable, which
+// every pointer-shaped State is. All registry types qualify (their
+// factories return pointers, as Unmarshaler forces).
+type encMemo struct {
+	state  crdt.State
+	raw    []byte
+	digest crdt.Digest // zero until first asked for
+}
+
+// encode returns crdt.Marshal(s), from the memo when s is the state it
+// encoded last. A nil memo always marshals. The bytes are shared with the
+// memo: callers must not modify them.
+func (c *encMemo) encode(s crdt.State) ([]byte, error) {
+	if c == nil {
+		return crdt.Marshal(s)
+	}
+	if s != nil && s == c.state {
+		return c.raw, nil
+	}
+	raw, err := crdt.Marshal(s)
+	if err != nil {
+		return nil, err
+	}
+	*c = encMemo{state: s, raw: raw}
+	return raw, nil
+}
+
+// digestOf returns the digest of s: the SHA-256 of its memoized encoding.
+func (c *encMemo) digestOf(s crdt.State) (crdt.Digest, error) {
+	raw, err := c.encode(s)
+	if err != nil {
+		return crdt.Digest{}, err
+	}
+	if c.digest.IsZero() {
+		c.digest = crdt.DigestOfMarshaled(raw)
+	}
+	return c.digest, nil
+}
+
+// resolve returns the memoized state if raw is its encoding, else nil.
+// When the memo holds another state than local, local is encoded into it
+// first, so a frame carrying exactly the local payload resolves to it. By
+// the codec's determinism contract the bytes name one state up to
+// equivalence, so the memoized value stands in for what Unmarshal would
+// build, and the decode is skipped.
+func (c *encMemo) resolve(raw []byte, local crdt.State) crdt.State {
+	if c == nil {
+		return nil
+	}
+	if local != nil && local != c.state {
+		if _, err := c.encode(local); err != nil {
+			return nil
+		}
+	}
+	if c.state == nil || !bytes.Equal(raw, c.raw) {
+		return nil
+	}
+	return c.state
+}
+
+// encode serializes the message, taking the state's encoding from memo
+// (nil: marshal afresh). Layout:
 //
 //	type(1) | req uvarint | attempt uvarint | epoch uvarint | round |
 //	[configFrame] | stateFrame
@@ -157,7 +229,7 @@ func hasConfig(t msgType) bool { return t == msgReconfig || t == msgEpochNack }
 // where the configFrame (internal/wire/config.go) is present only on
 // RECONFIG and EPOCH-NACK frames, and stateFrame is the versioned
 // state-transfer frame of internal/wire/state.go.
-func (m *message) encode() ([]byte, error) {
+func (m *message) encode(memo *encMemo) ([]byte, error) {
 	kind := m.Kind
 	if kind == wire.StateNone && m.State != nil {
 		kind = wire.StateFull
@@ -167,7 +239,7 @@ func (m *message) encode() ([]byte, error) {
 		if m.State == nil {
 			return nil, fmt.Errorf("core: encode %s: %v frame without a state", m.Type, kind)
 		}
-		raw, err := crdt.Marshal(m.State)
+		raw, err := memo.encode(m.State)
 		if err != nil {
 			return nil, fmt.Errorf("core: encode %s: %w", m.Type, err)
 		}
@@ -198,8 +270,13 @@ func (m *message) encode() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// decodeMessage parses a message produced by encode.
-func decodeMessage(p []byte) (*message, error) {
+// decodeMessage parses a message produced by encode. A payload whose
+// bytes equal the encoding of the receiver's local payload (or of the
+// state memo holds) resolves to that state without being unmarshaled;
+// a nil memo always unmarshals. MERGE payloads are compared with the memo
+// only: an update's MERGE carries a state the receiver lacks, so
+// encoding the local payload to compare would be wasted work.
+func decodeMessage(p []byte, memo *encMemo, local crdt.State) (*message, error) {
 	r := wire.NewReader(p)
 	raw := r.Byte()
 	m := &message{
@@ -227,9 +304,15 @@ func decodeMessage(p []byte) (*message, error) {
 	m.Digest = crdt.Digest(frame.Digest)
 	m.Baseline = crdt.Digest(frame.Baseline)
 	if frame.Kind.HasPayload() {
-		s, err := crdt.Unmarshal(frame.State)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode %s state: %w", m.Type, err)
+		if m.Type == msgMerge {
+			local = nil
+		}
+		s := memo.resolve(frame.State, local)
+		if s == nil {
+			var err error
+			if s, err = crdt.Unmarshal(frame.State); err != nil {
+				return nil, fmt.Errorf("core: decode %s state: %w", m.Type, err)
+			}
 		}
 		m.State = s
 		m.StateRaw = frame.State

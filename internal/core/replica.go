@@ -132,6 +132,7 @@ type Replica struct {
 
 	acc  acceptor
 	xfer transferState // digest/delta bookkeeping (Transfer != TransferFull)
+	enc  encMemo       // canonical encoding of the state encoded last
 
 	// lease is the round lease of the prepare-skip fast path, nil when no
 	// lease is held. It is deliberately volatile: never snapshotted, and
@@ -410,6 +411,12 @@ func (r *Replica) IsMember() bool { return r.member }
 // linearizable reads.
 func (r *Replica) LocalState() crdt.State { return r.acc.state }
 
+// Encode returns the canonical encoding of s (crdt.Marshal) through the
+// replica's encoding memo: a learned state that is the local payload,
+// which a converged read's is, costs no encoding at all. The bytes are
+// shared with the memo and must not be modified.
+func (r *Replica) Encode(s crdt.State) ([]byte, error) { return r.enc.encode(s) }
+
 // Counters returns a snapshot of the protocol counters.
 func (r *Replica) Counters() Counters { return r.counters }
 
@@ -447,7 +454,7 @@ func (r *Replica) send(to transport.NodeID, m *message) {
 	// receivers can refuse traffic from a stale configuration before it
 	// reaches the protocol handlers (docs/PROTOCOL.md §6).
 	m.Epoch = r.cfg.Epoch
-	p, err := m.encode()
+	p, err := m.encode(&r.enc)
 	if err != nil {
 		// Encoding fails only for unmarshalable states — a programming
 		// error in the payload type. Dropping the message degrades to a
@@ -499,7 +506,7 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 		pending: r.quorum - 1, // the local acceptor already merged
 	}
 	if r.opts.Transfer != TransferFull {
-		if d, derr := r.xfer.digests.Of(s); derr == nil {
+		if d, derr := r.enc.digestOf(s); derr == nil {
 			req.digest, req.hasDig = d, true
 		}
 	}
@@ -648,7 +655,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
 		// and onAck resolves it back to req.prepared. The digest is
 		// computed after the local prepare so it covers the seed — the
 		// exact state a converged remote acceptor ends up with.
-		if d, derr := r.xfer.digests.Of(r.acc.state); derr == nil {
+		if d, derr := r.enc.digestOf(r.acc.state); derr == nil {
 			req.prepared, req.preparedDig, req.hasPrepared = r.acc.state, d, true
 			m.Digest = d
 			if seed == nil {
@@ -667,9 +674,11 @@ func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
 // startLeaseAttempt runs the prepare-skip fast path (docs/PROTOCOL.md §5):
 // holding a round lease, the proposer goes straight to the vote phase at
 // the leased round. The proposal merges the leased (last learned) state
-// with the local payload, so it covers everything the lease-installing
+// into the local payload, so it covers everything the lease-installing
 // quorum had established plus every update this replica submitted since —
-// the two sources a linearizable read from this proposer must reflect. An
+// the two sources a linearizable read from this proposer must reflect.
+// The local payload is the receiver: when it already covers the leased
+// state (a converged key) the proposal is the payload value itself. An
 // acceptor whose round moved on NACKs, and once a vote quorum becomes
 // impossible the query falls back to the full two-phase protocol.
 func (r *Replica) startLeaseAttempt(req *queryReq) {
@@ -682,7 +691,7 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 	req.acks = nil
 	req.votes = make(map[transport.NodeID]bool, len(r.peers)+1)
 	req.denials = make(map[transport.NodeID]bool, len(r.peers))
-	prop := r.mergeGathered(lease.state, r.acc.state)
+	prop := r.mergeGathered(r.acc.state, lease.state)
 	req.proposed = prop
 	// gathered restarts empty: the proposal is local information (the
 	// local acceptor merges it in the synchronous vote below), so a
@@ -704,7 +713,7 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 	req.votes[r.id] = true
 	req.rtts++
 	if r.opts.Transfer != TransferFull {
-		if d, derr := r.xfer.digests.Of(prop); derr == nil {
+		if d, derr := r.enc.digestOf(prop); derr == nil {
 			req.propDig, req.hasPropDig = d, true
 		}
 	}
@@ -758,7 +767,11 @@ func (r *Replica) mergeGathered(acc, s crdt.State) crdt.State {
 // Deliver processes one inbound protocol message. Malformed messages are
 // dropped (counted), matching the unreliable-network model.
 func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
-	m, err := decodeMessage(payload)
+	// A payload byte-equal to the local payload's encoding — on a
+	// converged key, a peer shipping the very state held here — resolves
+	// to the local payload itself, so no copy is decoded and the merge
+	// that follows returns its receiver.
+	m, err := decodeMessage(payload, &r.enc, r.acc.state)
 	if err != nil {
 		r.counters.MalformedMsgs++
 		return
@@ -893,7 +906,7 @@ func (r *Replica) dominates(from transport.NodeID, d crdt.Digest, track bool) bo
 	if ring, ok := r.xfer.seen[from]; ok && ring.contains(d) {
 		return true
 	}
-	if own, err := r.xfer.digests.Of(r.acc.state); err == nil && own == d {
+	if own, err := r.enc.digestOf(r.acc.state); err == nil && own == d {
 		if track {
 			r.xfer.ring(from).add(d)
 		}
@@ -948,7 +961,7 @@ func (r *Replica) onPrepare(from transport.NodeID, m *message) {
 		// local post-prepare payload matches, the proposer already holds
 		// this exact state: answer with the digest alone (the converged
 		// fast path that makes a quorum read cost O(digest) bytes).
-		if own, derr := r.xfer.digests.Of(state); derr == nil && own == m.Digest {
+		if own, derr := r.enc.digestOf(state); derr == nil && own == m.Digest {
 			out.State, out.Kind, out.Digest = nil, wire.StateDigest, own
 			r.counters.DigestReplies++
 		}
@@ -964,7 +977,7 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 		// on a match the merge-before-reply of handleVote is a no-op and
 		// voting is a pure round check; on a mismatch deny with the full
 		// local state so the proposer gathers it and falls back.
-		own, derr := r.xfer.digests.Of(r.acc.state)
+		own, derr := r.enc.digestOf(r.acc.state)
 		if derr != nil || own != m.Digest {
 			r.counters.VotesRejected++
 			r.send(from, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state, Lease: true})
@@ -1250,15 +1263,18 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 	// quorum of ACK or VOTED messages must retry, with an incremental
 	// prepare seeded with the LUB of every payload received so far (this
 	// is what makes the retry loop converge, §3.5).
-	state := m.State
+	state, proposal := m.State, false
 	if m.Kind == wire.StateDigest && req.hasPrepared && m.Digest == req.preparedDig {
 		state = req.prepared // digest-only NACK: the acceptor holds our prepared state
 	} else if m.Kind == wire.StateDigest && req.hasPropDig && m.Digest == req.propDig {
-		state = req.proposed // digest-only NACK to a leased VOTE: it holds our proposal
+		state, proposal = req.proposed, true // digest-only NACK to a leased VOTE: it holds our proposal
 	}
-	if state != req.proposed {
-		// The proposal itself is never worth gathering: the local acceptor
-		// merged it when it voted, so a retry's learn already covers it.
+	if !proposal {
+		// A proposal named by digest is never worth gathering: the local
+		// acceptor merged it when it voted, so a retry's learn already
+		// covers it. Every full-state NACK is gathered, even one whose
+		// bytes resolved to the proposal value itself, so the retry's
+		// seed is the same as if it had been decoded afresh.
 		req.gathered = r.mergeGathered(req.gathered, state)
 	}
 	switch req.phase {
@@ -1345,7 +1361,7 @@ func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath)
 func (r *Replica) installLease(round Round, state crdt.State) {
 	l := &leaseState{round: round, state: state}
 	if r.opts.Transfer != TransferFull {
-		if d, err := r.xfer.digests.Of(state); err == nil {
+		if d, err := r.enc.digestOf(state); err == nil {
 			l.digest, l.hasDig = d, true
 		}
 	}

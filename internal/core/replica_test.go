@@ -46,7 +46,7 @@ func newNet(t *testing.T, n int, opts Options) *net {
 func (nw *net) pump() {
 	for _, rep := range nw.reps {
 		for _, e := range rep.TakeOutbox() {
-			m, err := decodeMessage(e.Payload)
+			m, err := decodeMessage(e.Payload, nil, nil)
 			if err != nil {
 				nw.t.Fatalf("undecodable outbound message: %v", err)
 			}

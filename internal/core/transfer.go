@@ -107,9 +107,8 @@ func (r *digestRing) contains(d crdt.Digest) bool {
 // per peer, entries created only for configured peers and dropped by
 // ForgetPeer when the runtime declares a peer down.
 type transferState struct {
-	digests crdt.MemoDigest                  // memoized digest of the local payload
-	views   map[transport.NodeID]*peerView   // proposer side: per-peer last-acked state
-	seen    map[transport.NodeID]*digestRing // acceptor side: per-peer merged digests
+	views map[transport.NodeID]*peerView   // proposer side: per-peer last-acked state
+	seen  map[transport.NodeID]*digestRing // acceptor side: per-peer merged digests
 }
 
 func newTransferState() transferState {

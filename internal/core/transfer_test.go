@@ -42,7 +42,7 @@ func (nw *net) kinds(match func(env) bool) []wire.StateKind {
 		if !match(e) {
 			continue
 		}
-		m, err := decodeMessage(e.payload)
+		m, err := decodeMessage(e.payload, nil, nil)
 		if err != nil {
 			nw.t.Fatalf("undecodable pooled message: %v", err)
 		}

@@ -24,6 +24,10 @@ var ErrTypeMismatch = errors.New("crdt: payload type mismatch")
 type State interface {
 	// Merge returns the least upper bound of the receiver and other.
 	// It fails with ErrTypeMismatch if other has a different payload type.
+	// The result may be one of the operands itself — an implementation
+	// may return the receiver when other ⊑ receiver — but never a mutated
+	// one. Callers must not assume a fresh value: a merge result is as
+	// immutable as its inputs.
 	Merge(other State) (State, error)
 
 	// Compare reports whether the receiver precedes or equals other in the

@@ -46,35 +46,6 @@ func DigestOfMarshaled(raw []byte) Digest {
 	return Digest(sha256.Sum256(raw))
 }
 
-// MemoDigest memoizes the digest of the most recently digested state,
-// keyed by state identity. States are immutable and every mutation
-// allocates a new value, so pointer identity is a sound cache key: the
-// same State value always has the same digest. The memo makes repeated
-// digests of an unchanged acceptor payload free — the common case on a
-// converged read-heavy keyspace.
-//
-// The identity comparison requires payload types to be comparable, which
-// every pointer-shaped State is. All registry types qualify (their
-// factories return pointers, as Unmarshaler forces).
-type MemoDigest struct {
-	last   State
-	digest Digest
-}
-
-// Of returns the digest of s, recomputing only when s is not the state
-// digested last time.
-func (m *MemoDigest) Of(s State) (Digest, error) {
-	if s != nil && s == m.last {
-		return m.digest, nil
-	}
-	d, err := DigestOf(s)
-	if err != nil {
-		return Digest{}, err
-	}
-	m.last, m.digest = s, d
-	return d, nil
-}
-
 // DeltaState is implemented by payload types that support join
 // decomposition (delta-state CRDTs, Almeida et al.): extracting a small
 // state that carries exactly what a given baseline is missing. Types

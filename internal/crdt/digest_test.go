@@ -77,37 +77,6 @@ func TestDigestZeroAndString(t *testing.T) {
 	}
 }
 
-func TestMemoDigestCachesByIdentity(t *testing.T) {
-	var memo MemoDigest
-	a := NewGCounter().Inc("r1", 3)
-	d1, err := memo.Of(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := memo.Of(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatal("memo changed digest for the same state")
-	}
-	b := a.Inc("r1", 1)
-	d3, err := memo.Of(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 == d1 {
-		t.Fatal("distinct states share a digest")
-	}
-	want, err := DigestOf(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 != want {
-		t.Fatal("memo digest disagrees with DigestOf")
-	}
-}
-
 // deltaTypes are the payload types the protocol ships deltas for.
 var deltaTypes = []string{TypeGCounter, TypePNCounter, TypeORSet}
 

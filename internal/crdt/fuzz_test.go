@@ -79,7 +79,10 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzLatticeLaws drives the semilattice laws from fuzz-chosen seeds and
 // type index: commutativity, associativity, idempotence, and the
-// order/join consistency a ⊑ b ⇔ a ⊔ b ≡ b, for every registered type.
+// order/join consistency a ⊑ b ⇔ a ⊔ b ≡ b, for every registered type —
+// plus the Merge contract of checkMergeContract: no operand changes, and
+// a join with a dominated argument is the receiver's encoding (for
+// the counters and ORSet, the receiver itself).
 func FuzzLatticeLaws(f *testing.F) {
 	f.Add(uint8(0), int64(1), int64(2), int64(3))
 	f.Add(uint8(3), int64(42), int64(42), int64(7))
@@ -92,6 +95,9 @@ func FuzzLatticeLaws(f *testing.F) {
 		a := gen(rand.New(rand.NewSource(seedA)))
 		b := gen(rand.New(rand.NewSource(seedB)))
 		c := gen(rand.New(rand.NewSource(seedC)))
+		// First, while no merge has touched the operands.
+		checkMergeContract(t, name, a, b)
+		checkMergeContract(t, name, MustMerge(a, b), c)
 
 		aa := MustMerge(a, a)
 		if eq, err := Equivalent(aa, a); err != nil || !eq {

@@ -44,17 +44,29 @@ func (c *GCounter) Value() uint64 {
 // Slot returns the count contributed by a single replica.
 func (c *GCounter) Slot(replica string) uint64 { return c.slots[replica] }
 
-// Merge implements Algorithm 1's merge: the slot-wise maximum.
+// Merge implements Algorithm 1's merge: the slot-wise maximum. The
+// receiver is copied only once other is found to raise a slot; when other
+// ⊑ c the receiver itself is the join and is returned as is.
 func (c *GCounter) Merge(other State) (State, error) {
 	o, ok := other.(*GCounter)
 	if !ok {
 		return nil, typeMismatch(c, other)
 	}
-	out := &GCounter{slots: cloneStrU64(c.slots)}
+	if c == o {
+		return c, nil
+	}
+	var out *GCounter
 	for k, v := range o.slots {
-		if v > out.slots[k] {
-			out.slots[k] = v
+		if v <= c.slots[k] {
+			continue
 		}
+		if out == nil {
+			out = &GCounter{slots: cloneStrU64(c.slots)}
+		}
+		out.slots[k] = v
+	}
+	if out == nil {
+		return c, nil
 	}
 	return out, nil
 }
@@ -64,6 +76,9 @@ func (c *GCounter) Compare(other State) (bool, error) {
 	o, ok := other.(*GCounter)
 	if !ok {
 		return false, typeMismatch(c, other)
+	}
+	if c == o {
+		return true, nil
 	}
 	for k, v := range c.slots {
 		if v > o.slots[k] {

@@ -136,6 +136,8 @@ func TestLatticeLaws(t *testing.T) {
 			r := rand.New(rand.NewSource(42))
 			for i := 0; i < 300; i++ {
 				a, b, c := gen(r), gen(r), gen(r)
+				// First, while no merge has touched the operands.
+				checkMergeContract(t, name, a, b)
 
 				// Idempotence: a ⊔ a ≡ a.
 				if !mustEquivalent(t, MustMerge(a, a), a) {
@@ -168,6 +170,57 @@ func TestLatticeLaws(t *testing.T) {
 			}
 		})
 	}
+}
+
+// returnsReceiver names the payload types whose Merge returns the receiver
+// itself, not merely an equal copy, when the argument adds nothing.
+var returnsReceiver = map[string]bool{TypeGCounter: true, TypePNCounter: true, TypeORSet: true}
+
+// checkMergeContract pins what Merge and Compare promise beyond the
+// lattice laws. Neither changes an operand: both encode the same after
+// every call as before. And a join whose argument is dominated adds
+// nothing: when y ⊑ x, x ⊔ y encodes exactly like x, and the types in
+// returnsReceiver return x itself.
+func checkMergeContract(t *testing.T, name string, a, b State) {
+	t.Helper()
+	encA, encB := mustMarshal(t, a), mustMarshal(t, b)
+	ab, ba := MustMerge(a, b), MustMerge(b, a)
+	for _, x := range []State{a, b} {
+		for _, y := range []State{a, b} {
+			if _, err := x.Compare(y); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dominated := [][2]State{{a, a}, {ab, a}, {ab, b}, {ba, a}, {ba, b}}
+	if le, err := b.Compare(a); err != nil {
+		t.Fatal(err)
+	} else if le {
+		dominated = append(dominated, [2]State{a, b})
+	}
+	for _, p := range dominated {
+		x, y := p[0], p[1]
+		encX := mustMarshal(t, x)
+		m := MustMerge(x, y)
+		if !bytes.Equal(mustMarshal(t, m), encX) {
+			t.Fatalf("%s: y ⊑ x but x ⊔ y encodes unlike x: x=%v y=%v x⊔y=%v", name, x, y, m)
+		}
+		if returnsReceiver[name] && m != x {
+			t.Fatalf("%s: y ⊑ x but x ⊔ y is a new value, not x: x=%v y=%v", name, x, y)
+		}
+	}
+	if !bytes.Equal(mustMarshal(t, a), encA) || !bytes.Equal(mustMarshal(t, b), encB) {
+		t.Fatalf("%s: Merge or Compare changed an operand: a=%v b=%v", name, a, b)
+	}
+}
+
+func mustMarshal(t *testing.T, s State) []byte {
+	t.Helper()
+	raw, err := Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestCompareReflexiveTransitive checks that ⊑ is a partial order on

@@ -49,6 +49,9 @@ func (c *PNCounter) Merge(other State) (State, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p == State(c.p) && n == State(c.n) {
+		return c, nil // other ⊑ c: both components returned their receiver
+	}
 	return &PNCounter{p: p.(*GCounter), n: n.(*GCounter)}, nil
 }
 

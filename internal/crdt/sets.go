@@ -298,25 +298,46 @@ func (s *ORSet) clone() *ORSet {
 	return &ORSet{adds: adds, tombs: cloneStrSet(s.tombs)}
 }
 
-// Merge unions the (element, tag) pairs and the tombstones.
+// Merge unions the (element, tag) pairs and the tombstones. The receiver
+// is copied only once other is found to hold a pair or tombstone it lacks;
+// when other ⊑ s the receiver itself is the join and is returned as is.
 func (s *ORSet) Merge(other State) (State, error) {
 	o, ok := other.(*ORSet)
 	if !ok {
 		return nil, typeMismatch(s, other)
 	}
-	out := s.clone()
+	if s == o {
+		return s, nil
+	}
+	var out *ORSet
 	for e, tags := range o.adds {
-		dst, ok := out.adds[e]
-		if !ok {
-			dst = map[string]struct{}{}
-			out.adds[e] = dst
-		}
+		have := s.adds[e]
 		for tag := range tags {
+			if _, ok := have[tag]; ok {
+				continue
+			}
+			if out == nil {
+				out = s.clone()
+			}
+			dst, ok := out.adds[e]
+			if !ok {
+				dst = map[string]struct{}{}
+				out.adds[e] = dst
+			}
 			dst[tag] = struct{}{}
 		}
 	}
 	for tag := range o.tombs {
+		if _, ok := s.tombs[tag]; ok {
+			continue
+		}
+		if out == nil {
+			out = s.clone()
+		}
 		out.tombs[tag] = struct{}{}
+	}
+	if out == nil {
+		return s, nil
 	}
 	return out, nil
 }
@@ -326,6 +347,9 @@ func (s *ORSet) Compare(other State) (bool, error) {
 	o, ok := other.(*ORSet)
 	if !ok {
 		return false, typeMismatch(s, other)
+	}
+	if s == o {
+		return true, nil
 	}
 	for e, tags := range s.adds {
 		otags := o.adds[e]

@@ -14,7 +14,6 @@ import (
 
 	"crdtsmr/internal/cluster"
 	"crdtsmr/internal/core"
-	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
 	"crdtsmr/internal/wire"
 )
@@ -89,6 +88,7 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
+	shut  bool // Close has begun: a later Serve must not accept
 
 	// addrMu guards memberAddrs: the "member-add" admin command extends
 	// the registry at runtime when the operator supplies the joiner's
@@ -149,9 +149,15 @@ func Start(node *cluster.Node, addr string, opts Options) (*Server, error) {
 }
 
 // Serve accepts client connections on ln until Close. It returns nil once
-// the server is closed.
+// the server is closed; on a server already closed it closes ln and
+// returns at once.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.shut {
+		s.mu.Unlock()
+		_ = ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	s.acceptLoop(ln)
@@ -186,6 +192,7 @@ func (s *Server) Close() error {
 		close(s.quit)
 		s.cancel()
 		s.mu.Lock()
+		s.shut = true
 		if s.ln != nil {
 			_ = s.ln.Close()
 		}
@@ -395,11 +402,7 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 		resp.RoundTrips = uint64(stats.RoundTrips)
 
 	case wire.OpQuery:
-		st, stats, err := s.node.QueryKey(ctx, req.Key)
-		if err != nil {
-			return fail(resp, err, true)
-		}
-		enc, err := crdt.Marshal(st)
+		enc, stats, err := s.node.QueryKeyEncoded(ctx, req.Key)
 		if err != nil {
 			return fail(resp, err, true)
 		}

@@ -417,3 +417,34 @@ func TestServeUnavailable(t *testing.T) {
 		t.Fatalf("error %v carries no StatusError with StatusUnavailable", err)
 	}
 }
+
+// TestServeAfterCloseReturns pins that Close ends a Serve that has not
+// begun yet: the late Serve closes its listener and returns instead of
+// accepting for ever.
+func TestServeAfterCloseReturns(t *testing.T) {
+	_, cl, stop := startCluster(t, 1)
+	defer stop()
+	srv := server.New(cl.Node("n1"), server.Options{})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		_ = ln.Close()
+		t.Fatal("Serve after Close still accepting after 5s")
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		_ = conn.Close()
+		t.Fatal("listener handed to a closed server still accepts connections")
+	}
+}
