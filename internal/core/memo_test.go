@@ -237,8 +237,8 @@ func TestMalformedFrameStillCounted(t *testing.T) {
 	}
 }
 
-// leasedReadRig is three goroutine-free replicas that share one
-// converged 128-element or-set, with n1 holding the round lease.
+// leasedReadRig is three goroutine-free full-transfer replicas that share
+// one converged payload, with n1 holding the round lease.
 type leasedReadRig struct {
 	reps  map[transport.NodeID]*Replica
 	order []*Replica
@@ -246,7 +246,10 @@ type leasedReadRig struct {
 	err   error
 }
 
-func newLeasedReadRig(tb testing.TB) *leasedReadRig {
+// newLeasedReadRig shares a 128-element or-set.
+func newLeasedReadRig(tb testing.TB) *leasedReadRig { return newRig(tb, orSetOf(128)) }
+
+func newRig(tb testing.TB, s0 crdt.State) *leasedReadRig {
 	tb.Helper()
 	ids := members("n1", "n2", "n3")
 	rig := &leasedReadRig{reps: make(map[transport.NodeID]*Replica, len(ids))}
@@ -255,7 +258,6 @@ func newLeasedReadRig(tb testing.TB) *leasedReadRig {
 			rig.err = err
 		}
 	}
-	s0 := orSetOf(128)
 	for _, id := range ids {
 		rep, err := NewReplica(id, ids, copyOf(tb, s0), DefaultOptions())
 		if err != nil {
@@ -274,6 +276,24 @@ func newLeasedReadRig(tb testing.TB) *leasedReadRig {
 // read runs one query at n1 and delivers every message until quiet.
 func (rig *leasedReadRig) read() {
 	rig.reps["n1"].SubmitQuery(rig.done)
+	rig.pump()
+}
+
+// update runs one g-counter increment at n1 and delivers its MERGEs and
+// MERGEDs.
+func (rig *leasedReadRig) update() {
+	n1 := rig.reps["n1"]
+	if _, err := n1.SubmitUpdate(incAt(n1), func(_ UpdateStats, err error) {
+		if err != nil {
+			rig.err = err
+		}
+	}); err != nil {
+		rig.err = err
+	}
+	rig.pump()
+}
+
+func (rig *leasedReadRig) pump() {
 	for moved := true; moved; {
 		moved = false
 		for _, rep := range rig.order {
@@ -312,6 +332,38 @@ func BenchmarkLeasedRead(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rig.read()
+	}
+	if rig.err != nil {
+		b.Fatal(rig.err)
+	}
+}
+
+// TestUpdateAllocs pins the allocations of a full-transfer update with
+// the lease held — the path the canonical benchmark runs: SubmitUpdate,
+// two MERGEs, their merges and two MERGEDs, for a 3-slot g-counter. Full
+// transfer announces no digest and keeps no per-peer state, so the bound
+// is the exact count and any allocation added to the path fails it.
+func TestUpdateAllocs(t *testing.T) {
+	rig := newRig(t, crdt.NewGCounter().Inc("n1", 1).Inc("n2", 1).Inc("n3", 1))
+	before := rig.reps["n1"].Counters()
+	const bound = 50
+	if got := testing.AllocsPerRun(100, rig.update); got > bound {
+		t.Fatalf("full-transfer update: %.0f allocs/op, want ≤ %d", got, bound)
+	}
+	if rig.err != nil {
+		t.Fatal(rig.err)
+	}
+	if n := rig.reps["n1"].Counters().Updates - before.Updates; n != 101 {
+		t.Fatalf("%d updates completed, want 101", n)
+	}
+}
+
+func BenchmarkUpdate(b *testing.B) {
+	rig := newRig(b, crdt.NewGCounter())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rig.update()
 	}
 	if rig.err != nil {
 		b.Fatal(rig.err)

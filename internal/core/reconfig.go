@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"maps"
+	"slices"
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
@@ -49,7 +50,7 @@ func (r *Replica) SubmitReconfigure(members []transport.NodeID, done func(error)
 			}
 		}
 	}
-	sort.Slice(req.targets, func(i, j int) bool { return req.targets[i] < req.targets[j] })
+	slices.Sort(req.targets)
 
 	// Self-adoption before broadcast: the proposer is the first acceptor
 	// of its own proposal, and every message it sends from here on is
@@ -78,12 +79,6 @@ func (r *Replica) sendReconfig(to transport.NodeID, reqID uint64) {
 		Members:  r.cfg.Members,
 		State:    r.acc.state,
 	})
-}
-
-// pushConfig is sendReconfig in its anti-entropy role, named for the call
-// sites that repair a lagging peer.
-func (r *Replica) pushConfig(to transport.NodeID, reqID uint64) {
-	r.sendReconfig(to, reqID)
 }
 
 // sendEpochNack tells a peer holding a different configuration what this
@@ -119,14 +114,7 @@ func (r *Replica) adoptConfig(cand Config, state crdt.State) bool {
 	// proven against a quorum that no longer exists.
 	r.acc.clobberRound(Round{})
 	r.lease = nil
-	// Transfer caches are only maintained for members; drop assumptions
-	// about nodes the new configuration removed.
-	for _, p := range r.peers {
-		if !contains(cand.Members, p) {
-			r.xfer.forget(p)
-		}
-	}
-	r.setConfig(cand)
+	r.setConfig(cand) // also drops transfer caches of removed peers
 	r.version++
 	r.counters.ConfigAdoptions++
 	// A competing configuration supersedes any reconfiguration this
@@ -150,14 +138,8 @@ func (r *Replica) adoptConfig(cand Config, state crdt.State) bool {
 // instead — clients refresh their member list and retry elsewhere.
 func (r *Replica) migrateInFlight() {
 	if !r.member {
-		ids := make([]uint64, 0, len(r.updates)+len(r.queries))
-		for id := range r.updates {
-			ids = append(ids, id)
-		}
-		for id := range r.queries {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		ids := append(slices.Collect(maps.Keys(r.updates)), slices.Collect(maps.Keys(r.queries))...)
+		slices.Sort(ids)
 		for _, id := range ids {
 			if req, ok := r.updates[id]; ok {
 				delete(r.updates, id)
@@ -181,12 +163,7 @@ func (r *Replica) migrateInFlight() {
 	// completes; one that needs more is re-driven by retransmission
 	// (Retransmit sends full-state MERGEs to every unacked current peer,
 	// including members that just joined).
-	upIDs := make([]uint64, 0, len(r.updates))
-	for id := range r.updates {
-		upIDs = append(upIDs, id)
-	}
-	sort.Slice(upIDs, func(i, j int) bool { return upIDs[i] < upIDs[j] })
-	for _, id := range upIDs {
+	for _, id := range slices.Sorted(maps.Keys(r.updates)) {
 		req := r.updates[id]
 		acked := 0
 		for _, p := range r.peers {
@@ -197,25 +174,19 @@ func (r *Replica) migrateInFlight() {
 		req.pending = r.quorum - 1 - acked
 		if req.pending <= 0 {
 			delete(r.updates, id)
-			if req.hasDig && acked < len(r.peers) {
-				r.retired = req
-			}
+			r.retire(req, acked)
 			r.completeUpdate(req)
 		}
 	}
 
 	// Queries: the attempt in flight was addressed to the old member set
 	// under a round the adoption just clobbered; restart it (counted as a
-	// retry) under the new configuration.
-	qIDs := make([]uint64, 0, len(r.queries))
-	for id := range r.queries {
-		qIDs = append(qIDs, id)
-	}
-	sort.Slice(qIDs, func(i, j int) bool { return qIDs[i] < qIDs[j] })
-	for _, id := range qIDs {
+	// retry, but never as a lease fallback: the adoption dropped the
+	// lease, not the read) under the new configuration.
+	for _, id := range slices.Sorted(maps.Keys(r.queries)) {
 		req := r.queries[id]
 		req.leased = false
-		r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
+		r.retryQuery(req)
 	}
 }
 
@@ -294,6 +265,6 @@ func (r *Replica) onEpochNack(from transport.NodeID, m *message) {
 	case sameConfig(cand, r.cfg):
 		// Crossed messages during convergence; nothing to repair.
 	default:
-		r.pushConfig(from, m.Req)
+		r.sendReconfig(from, m.Req)
 	}
 }

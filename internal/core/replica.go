@@ -3,7 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
@@ -29,7 +30,8 @@ type Options struct {
 	// Transfer selects the state-transfer strategy of the replica wire:
 	// full payloads (the paper's format, the default), digest-suppressed
 	// payloads, or deltas (docs/PROTOCOL.md §3). It changes only how many
-	// bytes move, never what is learned.
+	// bytes move, never what is learned. Only the transfer seam
+	// (transfer.go) reads it; the protocol handlers are mode-free.
 	Transfer StateTransfer
 
 	// Lease enables the §3.6 prepare-skip fast path (docs/PROTOCOL.md §5):
@@ -38,7 +40,9 @@ type Options struct {
 	// lease and subsequent queries go straight to the vote phase. Any
 	// NACK, lease steal, peer-failure signal, or restart falls back to the
 	// unmodified two-phase protocol, so the option changes round trips,
-	// never outcomes.
+	// never outcomes. Invariant: a lease is only ever installed when Lease
+	// is set, so everything past the install point tests the held lease
+	// alone — with Lease off, no lease exists to test.
 	Lease bool
 }
 
@@ -131,8 +135,8 @@ type Replica struct {
 	reconfig *reconfigReq
 
 	acc  acceptor
-	xfer transferState // digest/delta bookkeeping (Transfer != TransferFull)
-	enc  encMemo       // canonical encoding of the state encoded last
+	xfer transfer // the state-transfer seam: every Transfer-mode decision
+	enc  encMemo  // canonical encoding of the state encoded last
 
 	// lease is the round lease of the prepare-skip fast path, nil when no
 	// lease is held. It is deliberately volatile: never snapshotted, and
@@ -225,22 +229,20 @@ func (c *Counters) Add(o Counters) {
 // leaseState is the proposer-side record of a round lease: the last
 // learned state and the round a full quorum confirmed as the highest
 // established, with every member advertising the lease capability. The
-// digest (kept under digest/delta transfer) lets a quiescent leased VOTE
-// ship no payload at all.
+// digest (zero under full transfer) lets a quiescent leased VOTE ship no
+// payload at all.
 type leaseState struct {
 	round  Round
 	state  crdt.State
 	digest crdt.Digest
-	hasDig bool
 }
 
 type updateReq struct {
 	id      uint64
 	state   crdt.State  // the merged payload broadcast in MERGE
-	digest  crdt.Digest // digest of state (digest/delta transfer only)
-	hasDig  bool
-	round   Round // lease round the MERGE asks acceptors to preserve
-	lease   bool  // this update was issued while holding the lease
+	digest  crdt.Digest // announced digest of state (zero: none)
+	round   Round       // lease round the MERGE asks acceptors to preserve
+	lease   bool        // this update was issued while holding the lease
 	acked   map[transport.NodeID]bool
 	done    UpdateDone
 	pending int // remote MERGED replies still needed
@@ -266,11 +268,10 @@ type queryReq struct {
 	gathered crdt.State                   // LUB of every payload seen (retry seed)
 
 	// prepared is the local payload whose digest the current attempt's
-	// PREPARE announced; digest-only ACK/NACK replies resolve to it
-	// (digest equality is state equality).
+	// PREPARE announced (zero: none); digest-only ACK/NACK replies
+	// resolve to it (digest equality is state equality).
 	prepared    crdt.State
 	preparedDig crdt.Digest
-	hasPrepared bool
 
 	// seed is the payload the current attempt's PREPARE carried, kept so
 	// a retransmit can re-send the same attempt instead of burning it.
@@ -284,11 +285,10 @@ type queryReq struct {
 	leasable   bool
 	leaseRound Round
 
-	// propDig is the digest of the leased attempt's proposal
-	// (digest/delta transfer only): it drives per-peer VOTE payload
-	// suppression and, once a peer VOTEDs, records that peer's view.
-	propDig    crdt.Digest
-	hasPropDig bool
+	// propDig is the announced digest of the leased attempt's proposal
+	// (zero: none): it drives per-peer VOTE payload suppression and, once
+	// a peer VOTEDs, records that peer's view.
+	propDig crdt.Digest
 
 	rtts int
 	done QueryDone
@@ -326,11 +326,11 @@ func NewReplicaConfig(id transport.NodeID, cfg Config, s0 crdt.State, opts Optio
 		id:      id,
 		opts:    opts,
 		acc:     newAcceptor(s0),
-		xfer:    newTransferState(),
 		updates: make(map[uint64]*updateReq),
 		queries: make(map[uint64]*queryReq),
 		learned: s0,
 	}
+	r.xfer = newTransfer(opts, &r.enc)
 	r.setConfig(cfg)
 	return r, nil
 }
@@ -348,18 +348,7 @@ func (r *Replica) setConfig(cfg Config) {
 	}
 	r.quorum = majority(cfg.Members)
 	r.member = contains(cfg.Members, r.id)
-}
-
-// isPeer reports whether id is a configured remote peer. Digest and delta
-// caches are only maintained for configured peers, which bounds them by
-// the membership.
-func (r *Replica) isPeer(id transport.NodeID) bool {
-	for _, p := range r.peers {
-		if p == id {
-			return true
-		}
-	}
-	return false
+	r.xfer.setPeers(r.peers)
 }
 
 // ForgetPeer drops every digest/delta transfer assumption held about the
@@ -487,7 +476,7 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 	// Updates from any other proposer still clobber, which is what forces
 	// a leased read overlapping a foreign committed update to fall back.
 	var keep Round
-	if r.opts.Lease && r.lease != nil {
+	if r.lease != nil {
 		keep = r.lease.round
 	}
 	s, err := r.acc.applyUpdate(fu, keep)
@@ -499,16 +488,12 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 	req := &updateReq{
 		id:      r.nextReq,
 		state:   s,
+		digest:  r.xfer.digest(s),
 		round:   keep,
 		lease:   keep.ID.Proposer != "",
 		acked:   make(map[transport.NodeID]bool, len(r.peers)),
 		done:    done,
 		pending: r.quorum - 1, // the local acceptor already merged
-	}
-	if r.opts.Transfer != TransferFull {
-		if d, derr := r.enc.digestOf(s); derr == nil {
-			req.digest, req.hasDig = d, true
-		}
 	}
 	if req.pending <= 0 {
 		r.completeUpdate(req)
@@ -521,36 +506,22 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 	return req.id, nil
 }
 
-// sendMerge ships the update's payload to one peer in the cheapest form
-// the transfer mode and the per-peer view allow: a digest alone when the
-// peer already acknowledged exactly this state, a delta against the last
-// state it acknowledged (delta mode, delta-capable payloads), or the full
-// payload. Full is always safe; the other forms are verified by the
-// receiver against its own digest cache and fall back via MERGE-NACK.
+// sendMerge ships the update's payload to one peer in the form the
+// transfer seam picks for it: digest, delta or full (transfer.shapeMerge).
 func (r *Replica) sendMerge(req *updateReq, to transport.NodeID) {
-	if req.hasDig {
-		if view, ok := r.xfer.views[to]; ok {
-			if view.digest == req.digest {
-				r.counters.DigestMerges++
-				r.send(to, &message{Type: msgMerge, Req: req.id, Kind: wire.StateDigest, Digest: req.digest, Round: req.round, Lease: req.lease})
-				return
-			}
-			if r.opts.Transfer == TransferDelta && view.state != nil {
-				if ds, ok := req.state.(crdt.DeltaState); ok {
-					if delta, err := ds.Delta(view.state); err == nil {
-						r.counters.DeltaMerges++
-						r.send(to, &message{
-							Type: msgMerge, Req: req.id, Kind: wire.StateDelta,
-							State: delta, Digest: req.digest, Baseline: view.digest,
-							Round: req.round, Lease: req.lease,
-						})
-						return
-					}
-				}
-			}
-		}
+	m := req.mergeMsg()
+	switch r.xfer.shapeMerge(m, to, req.digest) {
+	case wire.StateDigest:
+		r.counters.DigestMerges++
+	case wire.StateDelta:
+		r.counters.DeltaMerges++
 	}
-	r.send(to, &message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease})
+	r.send(to, m)
+}
+
+// mergeMsg is the update's full-payload MERGE, marked with its lease round.
+func (req *updateReq) mergeMsg() *message {
+	return &message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease}
 }
 
 // SubmitQuery starts a query command (Algorithm 2, lines 7-24). done fires
@@ -573,7 +544,7 @@ func (r *Replica) SubmitQuery(done QueryDone) uint64 {
 		done: done,
 	}
 	r.queries[req.id] = req
-	if r.opts.Lease && r.lease != nil {
+	if r.lease != nil {
 		r.startLeaseAttempt(req)
 	} else {
 		r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(nil))
@@ -597,8 +568,9 @@ func (r *Replica) prepareSeed(gathered crdt.State) crdt.State {
 // startAttempt begins a (re)prepare attempt for a query with the given
 // round template (incremental or fixed) and optional payload seed.
 // Retries are counted here and nowhere else — every path that restarts a
-// query (NACK, inconsistent rounds, vote denial, lease fallback) funnels
-// through this function, so Retries == Σ(Attempts−1) holds exactly.
+// query (NACK, inconsistent rounds, vote denial, lease fallback,
+// reconfiguration) funnels through this function, so
+// Retries == Σ(Attempts−1) holds exactly.
 func (r *Replica) startAttempt(req *queryReq, round Round, seed crdt.State) {
 	req.attempt++
 	if req.attempt > 1 {
@@ -620,7 +592,6 @@ func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
 	req.votes = nil
 	req.denials = nil
 	req.proposed = nil
-	req.prepared, req.preparedDig, req.hasPrepared = nil, crdt.Digest{}, false
 	req.seed = seed
 
 	// nextSeq advances and the local acceptor (below) merges the seed and
@@ -648,24 +619,13 @@ func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
 		return
 	}
 	req.rtts++
-	m := &message{Type: msgPrepare, Req: req.id, Attempt: req.attempt, Round: round, State: seed}
-	if r.opts.Transfer != TransferFull {
-		// Announce the digest of the local post-prepare payload: a remote
-		// acceptor whose payload matches answers with the digest alone,
-		// and onAck resolves it back to req.prepared. The digest is
-		// computed after the local prepare so it covers the seed — the
-		// exact state a converged remote acceptor ends up with.
-		if d, derr := r.enc.digestOf(r.acc.state); derr == nil {
-			req.prepared, req.preparedDig, req.hasPrepared = r.acc.state, d, true
-			m.Digest = d
-			if seed == nil {
-				m.Kind = wire.StateDigest
-			} else {
-				m.Kind = wire.StateFullDigest
-			}
-		}
-	}
-	r.broadcast(m)
+	// Announce the digest of the local post-prepare payload (none under
+	// full transfer): a remote acceptor whose payload matches answers
+	// with the digest alone, and onAck resolves it back to req.prepared.
+	// The digest is computed after the local prepare so it covers the
+	// seed — the exact state a converged remote acceptor ends up with.
+	req.prepared, req.preparedDig = r.acc.state, r.xfer.digest(r.acc.state)
+	r.broadcast(req.prepareMsg())
 
 	// A single-replica cluster decides immediately.
 	r.maybeDecidePrepare(req)
@@ -707,19 +667,15 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 		// Nothing was gathered from the wire yet, so the fallback starts
 		// like a fresh first attempt: unseeded (§3.6 — the local payload
 		// is never shipped in a first prepare).
-		r.leaseFallback(req)
+		r.retryQuery(req)
 		return
 	}
 	req.votes[r.id] = true
 	req.rtts++
-	if r.opts.Transfer != TransferFull {
-		if d, derr := r.enc.digestOf(prop); derr == nil {
-			req.propDig, req.hasPropDig = d, true
-		}
-	}
+	req.propDig = r.xfer.digest(prop)
 	for _, p := range r.peers {
-		m := &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: lease.round, State: prop, Lease: true}
-		if req.hasPropDig {
+		m := req.voteMsg()
+		if d := req.propDig; !d.IsZero() && (d == lease.digest || r.xfer.holds(p, d)) {
 			// Digest-suppressed leased VOTE: ship no payload to a peer that
 			// provably already holds it — either the cluster is quiescent
 			// (the proposal still equals the leased state every quorum
@@ -727,26 +683,30 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 			// exactly the proposal (it merged the holder's updates). The
 			// acceptor verifies the digest against its own payload and
 			// NACKs with the full state on any mismatch.
-			quiescent := lease.hasDig && req.propDig == lease.digest
-			view, seen := r.xfer.views[p]
-			if quiescent || (seen && view.digest == req.propDig) {
-				m.State, m.Kind, m.Digest = nil, wire.StateDigest, req.propDig
-			}
+			m.State, m.Kind, m.Digest = nil, wire.StateDigest, d
 		}
 		r.send(p, m)
 	}
 	r.maybeDecideVote(req)
 }
 
-// leaseFallback abandons the fast path for the unmodified two-phase
-// protocol: the lease is dropped (the next quorum read re-installs it)
-// and the query restarts with an incremental prepare seeded with
-// everything gathered so far, which counts as a retry.
-func (r *Replica) leaseFallback(req *queryReq) {
-	r.counters.LeaseFallbacks++
-	r.lease = nil
-	req.leased = false
-	r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
+// prepareMsg is the current attempt's PREPARE: its round and seed, plus
+// the announced digest of the prepared payload, if any.
+func (req *queryReq) prepareMsg() *message {
+	m := &message{Type: msgPrepare, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.seed}
+	if !req.preparedDig.IsZero() {
+		m.Digest, m.Kind = req.preparedDig, wire.StateDigest
+		if req.seed != nil {
+			m.Kind = wire.StateFullDigest
+		}
+	}
+	return m
+}
+
+// voteMsg is the current attempt's VOTE for its proposal, marked leased
+// on the prepare-skip fast path.
+func (req *queryReq) voteMsg() *message {
+	return &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.proposed, Lease: req.leased}
 }
 
 func (r *Replica) mergeGathered(acc, s crdt.State) crdt.State {
@@ -798,7 +758,7 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
 		// pushes its own back.
 		r.counters.EpochNacks++
 		if m.Epoch < r.cfg.Epoch {
-			r.pushConfig(from, m.Req)
+			r.sendReconfig(from, m.Req)
 		} else {
 			r.sendEpochNack(from, m.Req)
 		}
@@ -827,67 +787,45 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
 // --- acceptor-side message handling ---
 
 func (r *Replica) onMerge(from transport.NodeID, m *message) {
-	// A node tracks per-peer merge digests only when digest transfer is
-	// on locally; a full-mode node still answers digest and delta frames
-	// correctly (safety never depends on the cache), it just recognizes
-	// fewer baselines and forces more full-state fallbacks.
-	track := r.opts.Transfer != TransferFull && r.isPeer(from)
-	// A lease-holder MERGE names the round the sender's lease rests on;
-	// acceptors still at exactly that round keep it (clobberRound).
-	keep := Round{}
-	if m.Lease {
-		keep = m.Round
-	}
+	// The digests of the sender's states merged here, if the transfer
+	// seam tracks them (nil: it does not).
+	ring := r.xfer.ring(from)
 	switch m.Kind {
 	case wire.StateFull, wire.StateFullDigest:
-		if m.State == nil {
-			r.counters.MalformedMsgs++
+		if !r.mergePayload(m) {
 			return
 		}
-		if err := r.acc.handleMerge(m.State, keep); err != nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		r.version++
-		if track && len(m.StateRaw) > 0 {
+		if ring != nil && len(m.StateRaw) > 0 {
 			// Fingerprint the sender's state from the wire bytes — the
 			// digest is defined over exactly this encoding.
-			r.xfer.ring(from).add(crdt.DigestOfMarshaled(m.StateRaw))
+			ring.add(crdt.DigestOfMarshaled(m.StateRaw))
 		}
 	case wire.StateDigest:
 		// Payload suppressed: the sender believes this acceptor already
 		// holds a state dominating the one with this digest. Verify, or
 		// demand the full payload.
-		if !r.dominates(from, m.Digest, track) {
+		if !r.dominates(ring, m.Digest) {
 			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
 			return
 		}
 	case wire.StateDelta:
-		if m.State == nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		if r.dominates(from, m.Digest, track) {
+		if r.dominates(ring, m.Digest) {
 			// The resulting state is already covered here (duplicate or
 			// reordered delta): acknowledge without merging.
 			break
 		}
-		if !r.dominates(from, m.Baseline, track) {
+		if !r.dominates(ring, m.Baseline) {
 			// Unknown baseline: merging the delta alone could lose the
 			// part of the sender's state the baseline carried.
 			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
 			return
 		}
-		if err := r.acc.handleMerge(m.State, keep); err != nil {
-			r.counters.MalformedMsgs++
+		if !r.mergePayload(m) {
 			return
 		}
-		r.version++
-		if track {
-			// baseline ⊔ delta = the sender's full state: merged here, so
-			// its digest is now a recognized baseline for future deltas.
-			r.xfer.ring(from).add(m.Digest)
-		}
+		// baseline ⊔ delta = the sender's full state: merged here, so its
+		// digest is now a recognized baseline for future deltas.
+		ring.add(m.Digest)
 	default:
 		r.counters.MalformedMsgs++
 		return
@@ -895,21 +833,37 @@ func (r *Replica) onMerge(from transport.NodeID, m *message) {
 	r.send(from, &message{Type: msgMerged, Req: m.Req})
 }
 
+// mergePayload merges a MERGE's payload (full state or delta) into the
+// local acceptor and reports whether it could; a missing or unmergeable
+// payload is counted as malformed. A lease-holder MERGE names the round
+// the sender's lease rests on; acceptors still at exactly that round
+// keep it (clobberRound).
+func (r *Replica) mergePayload(m *message) bool {
+	keep := Round{}
+	if m.Lease {
+		keep = m.Round
+	}
+	if m.State == nil || r.acc.handleMerge(m.State, keep) != nil {
+		r.counters.MalformedMsgs++
+		return false
+	}
+	r.version++
+	return true
+}
+
 // dominates reports whether the local payload provably dominates the state
-// with digest d as last shipped by peer from: either that exact state was
-// merged here earlier (the per-peer digest ring — payloads only grow, so
+// with digest d as last shipped by a peer: either that exact state was
+// merged here earlier (the peer's digest ring — payloads only grow, so
 // once merged, dominated forever) or the local payload IS that state.
-func (r *Replica) dominates(from transport.NodeID, d crdt.Digest, track bool) bool {
+func (r *Replica) dominates(ring *digestRing, d crdt.Digest) bool {
 	if d.IsZero() {
 		return false
 	}
-	if ring, ok := r.xfer.seen[from]; ok && ring.contains(d) {
+	if ring.contains(d) {
 		return true
 	}
 	if own, err := r.enc.digestOf(r.acc.state); err == nil && own == d {
-		if track {
-			r.xfer.ring(from).add(d)
-		}
+		ring.add(d)
 		return true
 	}
 	return false
@@ -935,7 +889,13 @@ func (r *Replica) onMergeNack(from transport.NodeID, m *message) {
 	}
 	delete(r.xfer.views, from)
 	r.counters.MergeFallbacks++
-	r.send(from, &message{Type: msgMerge, Req: req.id, State: req.state})
+	// Unlike Retransmit, the fallback carries no lease round, so the
+	// acceptor clobbers its round even when it holds the sender's lease:
+	// a known liveness cost (the holder's next leased read falls back),
+	// never a safety one.
+	full := req.mergeMsg()
+	full.Round, full.Lease = Round{}, false
+	r.send(from, full)
 }
 
 func (r *Replica) onPrepare(from transport.NodeID, m *message) {
@@ -979,8 +939,7 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 		// local state so the proposer gathers it and falls back.
 		own, derr := r.enc.digestOf(r.acc.state)
 		if derr != nil || own != m.Digest {
-			r.counters.VotesRejected++
-			r.send(from, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state, Lease: true})
+			r.denyVote(from, m)
 			return
 		}
 		digestVerified = true
@@ -1010,8 +969,7 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 				r.acc.state = merged
 				r.version++
 			}
-			r.counters.VotesRejected++
-			r.send(from, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state, Lease: true})
+			r.denyVote(from, m)
 			return
 		}
 	}
@@ -1037,6 +995,13 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 	r.send(from, out)
 }
 
+// denyVote answers VOTE m with a NACK carrying this acceptor's round and
+// full payload, which the proposer gathers before it retries.
+func (r *Replica) denyVote(to transport.NodeID, m *message) {
+	r.counters.VotesRejected++
+	r.send(to, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state, Lease: true})
+}
+
 // --- proposer-side message handling ---
 
 func (r *Replica) onMerged(from transport.NodeID, m *message) {
@@ -1046,7 +1011,7 @@ func (r *Replica) onMerged(from transport.NodeID, m *message) {
 			// A straggler MERGED for an already-answered update: no client
 			// to notify, but the peer's view still advances.
 			r.retired.acked[from] = true
-			r.noteAcked(r.retired, from)
+			r.xfer.acked(from, r.retired.state, r.retired.digest)
 			if len(r.retired.acked) >= len(r.peers) {
 				r.retired = nil
 			}
@@ -1059,29 +1024,26 @@ func (r *Replica) onMerged(from transport.NodeID, m *message) {
 		return // duplicate
 	}
 	req.acked[from] = true
-	r.noteAcked(req, from)
+	// Any acknowledged state is a sound delta baseline forever (the
+	// peer's payload only grows), so it becomes the peer's view.
+	r.xfer.acked(from, req.state, req.digest)
 	req.pending--
 	if req.pending <= 0 {
 		delete(r.updates, req.id)
-		if req.hasDig && len(req.acked) < len(r.peers) {
-			r.retired = req
-		}
+		r.retire(req, len(req.acked))
 		r.completeUpdate(req)
 	}
 }
 
-// noteAcked records that the peer durably merged req.state: any
-// acknowledged state is a sound delta baseline forever (the peer's
-// payload only grows), so it replaces the per-peer view.
-func (r *Replica) noteAcked(req *updateReq, from transport.NodeID) {
-	if !req.hasDig || !r.isPeer(from) {
-		return
+// retire parks an update that stops waiting for its client with only
+// acked of its peers' MERGEDs in: late MERGEDs still advance the peers'
+// views, and a MERGE-NACK is still answered with the full payload
+// (onMergeNack). Only an update that announced a digest can be NACKed or
+// advance a view, so full transfer retires nothing.
+func (r *Replica) retire(req *updateReq, acked int) {
+	if !req.digest.IsZero() && acked < len(r.peers) {
+		r.retired = req
 	}
-	view := &peerView{digest: req.digest}
-	if r.opts.Transfer == TransferDelta {
-		view.state = req.state
-	}
-	r.xfer.views[from] = view
 }
 
 func (r *Replica) completeUpdate(req *updateReq) {
@@ -1104,7 +1066,7 @@ func (r *Replica) onAck(from transport.NodeID, m *message) {
 	if m.Kind == wire.StateDigest {
 		// Digest-only ACK: the acceptor's state equals the one whose
 		// digest our PREPARE announced — resolve it locally.
-		if !req.hasPrepared || m.Digest != req.preparedDig {
+		if m.Digest.IsZero() || m.Digest != req.preparedDig {
 			r.counters.MalformedMsgs++
 			return
 		}
@@ -1207,7 +1169,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		if voteErr == nil {
 			req.votes[r.id] = true
 		}
-		r.broadcast(&message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: common, State: lub})
+		r.broadcast(req.voteMsg())
 		r.maybeDecideVote(req)
 		return
 	}
@@ -1233,15 +1195,11 @@ func (r *Replica) onVoted(from transport.NodeID, m *message) {
 	if !m.Lease {
 		req.leasable = false
 	}
-	if req.leased && req.hasPropDig && r.isPeer(from) {
+	if req.leased {
 		// VOTED to a leased VOTE confirms the peer merged the proposal
 		// before replying, so the proposal is a sound per-peer baseline —
 		// the next leased read or digest/delta MERGE can build on it.
-		view := &peerView{digest: req.propDig}
-		if r.opts.Transfer == TransferDelta {
-			view.state = req.proposed
-		}
-		r.xfer.views[from] = view
+		r.xfer.acked(from, req.proposed, req.propDig)
 	}
 	r.maybeDecideVote(req)
 }
@@ -1264,10 +1222,13 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 	// prepare seeded with the LUB of every payload received so far (this
 	// is what makes the retry loop converge, §3.5).
 	state, proposal := m.State, false
-	if m.Kind == wire.StateDigest && req.hasPrepared && m.Digest == req.preparedDig {
-		state = req.prepared // digest-only NACK: the acceptor holds our prepared state
-	} else if m.Kind == wire.StateDigest && req.hasPropDig && m.Digest == req.propDig {
-		state, proposal = req.proposed, true // digest-only NACK to a leased VOTE: it holds our proposal
+	if m.Kind == wire.StateDigest && !m.Digest.IsZero() {
+		switch m.Digest {
+		case req.preparedDig:
+			state = req.prepared // the acceptor holds our prepared state
+		case req.propDig:
+			state, proposal = req.proposed, true // a leased VOTE's: it holds our proposal
+		}
 	}
 	if !proposal {
 		// A proposal named by digest is never worth gathering: the local
@@ -1291,11 +1252,7 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 		replies := len(req.votes) + len(req.denials)
 		outstanding := len(r.peers) + 1 - replies
 		if len(req.votes)+outstanding < r.quorum {
-			if req.leased {
-				r.leaseFallback(req)
-			} else {
-				r.retryQuery(req)
-			}
+			r.retryQuery(req)
 		}
 	}
 }
@@ -1303,8 +1260,14 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 // retryQuery restarts a query with an incremental prepare seeded with the
 // LUB of everything seen so far. §3.2: retrying with an incremental prepare
 // guarantees eventual liveness; each failed iteration folds at least one
-// more acceptor's updates into the seed (§3.5).
+// more acceptor's updates into the seed (§3.5). A leased attempt falls
+// back to the unmodified two-phase protocol this way: the lease is
+// dropped (the next quorum read re-installs it) and the fallback counted.
 func (r *Replica) retryQuery(req *queryReq) {
+	if req.leased {
+		r.counters.LeaseFallbacks++
+		r.lease = nil
+	}
 	r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
 }
 
@@ -1355,17 +1318,11 @@ func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath)
 	}
 }
 
-// installLease records (or refreshes) the round lease. The digest of the
-// leased state is memoized under digest/delta transfer so quiescent
-// leased VOTEs can ship no payload.
+// installLease records (or refreshes) the round lease with the announced
+// digest of the leased state, so quiescent leased VOTEs can ship no
+// payload.
 func (r *Replica) installLease(round Round, state crdt.State) {
-	l := &leaseState{round: round, state: state}
-	if r.opts.Transfer != TransferFull {
-		if d, err := r.enc.digestOf(state); err == nil {
-			l.digest, l.hasDig = d, true
-		}
-	}
-	r.lease = l
+	r.lease = &leaseState{round: round, state: state, digest: r.xfer.digest(state)}
 }
 
 // Retransmit re-drives an in-flight request after a runtime timeout,
@@ -1381,7 +1338,7 @@ func (r *Replica) Retransmit(reqID uint64) {
 	if req, ok := r.updates[reqID]; ok {
 		for _, p := range r.peers {
 			if !req.acked[p] {
-				r.send(p, &message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease})
+				r.send(p, req.mergeMsg())
 			}
 		}
 		return
@@ -1404,15 +1361,7 @@ func (r *Replica) Retransmit(reqID uint64) {
 func (r *Replica) retransmitQuery(req *queryReq) {
 	switch req.phase {
 	case phasePrepare:
-		m := &message{Type: msgPrepare, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.seed}
-		if req.hasPrepared {
-			m.Digest = req.preparedDig
-			if req.seed == nil {
-				m.Kind = wire.StateDigest
-			} else {
-				m.Kind = wire.StateFullDigest
-			}
-		}
+		m := req.prepareMsg()
 		for _, p := range r.peers {
 			if _, ok := req.acks[p]; !ok {
 				r.send(p, m)
@@ -1427,17 +1376,13 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 			// timeout. Re-sending the same VOTE cannot help (the denial
 			// stands until the round moves), so treat the vote as
 			// undecidable and retry through the normal NACK machinery.
-			if req.leased {
-				r.leaseFallback(req)
-			} else {
-				r.retryQuery(req)
-			}
+			r.retryQuery(req)
 			return
 		}
 		// Always the full proposal, never digest-suppressed: a lost leased
 		// VOTE is indistinguishable from a receiver that could not verify
 		// the digest.
-		m := &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.proposed, Lease: req.leased}
+		m := req.voteMsg()
 		for _, p := range r.peers {
 			if !req.votes[p] && !req.denials[p] {
 				r.send(p, m)
@@ -1450,17 +1395,11 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 // Deterministic runtimes (the interleaving checker) use it in place of
 // per-request timers when the network goes quiescent under loss.
 func (r *Replica) RetransmitAll() {
-	ids := make([]uint64, 0, len(r.updates)+len(r.queries)+1)
-	for id := range r.updates {
-		ids = append(ids, id)
-	}
-	for id := range r.queries {
-		ids = append(ids, id)
-	}
+	ids := append(slices.Collect(maps.Keys(r.updates)), slices.Collect(maps.Keys(r.queries))...)
 	if r.reconfig != nil {
 		ids = append(ids, r.reconfig.id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		r.Retransmit(id)
 	}
@@ -1472,14 +1411,12 @@ func (r *Replica) RetransmitAll() {
 func (r *Replica) Abort(reqID uint64) {
 	if req, ok := r.updates[reqID]; ok {
 		delete(r.updates, reqID)
-		if req.hasDig && len(req.acked) < len(r.peers) {
-			// The client gives up, but the payload must still reach every
-			// peer: a digest or delta MERGE a peer rejects is answered
-			// from the retired slot with the full state (onMergeNack) —
-			// without this, an aborted delta-mode update could leave that
-			// peer unconverged until unrelated later traffic.
-			r.retired = req
-		}
+		// The client gives up, but the payload must still reach every
+		// peer: a digest or delta MERGE a peer rejects is answered from
+		// the retired slot with the full state (onMergeNack) — without
+		// this, an aborted delta-mode update could leave that peer
+		// unconverged until unrelated later traffic.
+		r.retire(req, len(req.acked))
 		if req.done != nil {
 			req.done(UpdateStats{}, ErrAborted)
 		}

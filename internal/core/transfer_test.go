@@ -358,6 +358,35 @@ func TestForgetPeerDropsTransferCaches(t *testing.T) {
 	if len(n2.xfer.seen) != 0 {
 		t.Fatal("n2's digest ring for n1 survived ForgetPeer")
 	}
+
+	// Full transfer keeps no per-peer state at all — not through leased
+	// reads, and not while an update that answered at quorum still has a
+	// MERGE outstanding.
+	nw = newNet(t, 3, DefaultOptions())
+	n1 = nw.reps["n1"]
+	for i := 0; i < 2; i++ {
+		n1.SubmitQuery(nil)
+		nw.pump()
+		nw.drain()
+	}
+	if c := n1.Counters(); c.LeaseHits != 1 {
+		t.Fatalf("LeaseHits = %d, want 1 (the second read leased)", c.LeaseHits)
+	}
+	done := false
+	if _, err := n1.SubmitUpdate(incAt(n1), func(UpdateStats, error) { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.deliver(toNode("n2"))
+	nw.deliver(ofType(msgMerged))
+	if !done {
+		t.Fatal("update did not complete at quorum")
+	}
+	for _, rep := range nw.reps {
+		if len(rep.xfer.views) != 0 || len(rep.xfer.seen) != 0 || rep.retired != nil {
+			t.Fatalf("%s under full transfer: %d views, %d rings, retired %v", rep.ID(), len(rep.xfer.views), len(rep.xfer.seen), rep.retired != nil)
+		}
+	}
 }
 
 func TestDigestRing(t *testing.T) {
